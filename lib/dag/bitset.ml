@@ -38,11 +38,13 @@ let is_empty b = Array.for_all (fun w -> w = 0) b.words
 
 let clear b = Array.fill b.words 0 (Array.length b.words) 0
 
+(* Whole words are all ones (-1); the last, partial word gets only its
+   low [n mod bits_per_word] bits. *)
 let fill b =
-  for i = 0 to b.n - 1 do
-    let w = i / bits_per_word in
-    b.words.(w) <- b.words.(w) lor (1 lsl (i mod bits_per_word))
-  done
+  let full = b.n / bits_per_word in
+  Array.fill b.words 0 full (-1);
+  let rest = b.n mod bits_per_word in
+  if rest > 0 then b.words.(full) <- (1 lsl rest) - 1
 
 let copy b = { b with words = Array.copy b.words }
 
@@ -76,10 +78,29 @@ let diff_into dst src =
   same_capacity dst src;
   Array.iteri (fun i w -> dst.words.(i) <- dst.words.(i) land lnot w) src.words
 
+(* Index of the lowest set bit of a non-zero word, by binary search. *)
+let lowest_bit x =
+  let x = ref x and i = ref 0 in
+  if !x land 0xFFFFFFFF = 0 then (x := !x lsr 32; i := 32);
+  if !x land 0xFFFF = 0 then (x := !x lsr 16; i := !i + 16);
+  if !x land 0xFF = 0 then (x := !x lsr 8; i := !i + 8);
+  if !x land 0xF = 0 then (x := !x lsr 4; i := !i + 4);
+  if !x land 0x3 = 0 then (x := !x lsr 2; i := !i + 2);
+  if !x land 0x1 = 0 then i := !i + 1;
+  !i
+
+(* Skips zero words and jumps from set bit to set bit.  The word is
+   re-read after each call to [f], masked above the bit just visited,
+   so [f] may add or remove members exactly as with a bit-by-bit scan. *)
 let iter f b =
-  for i = 0 to b.n - 1 do
-    if b.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0 then
-      f i
+  let words = b.words in
+  for w = 0 to Array.length words - 1 do
+    let x = ref words.(w) in
+    while !x <> 0 do
+      let bit = lowest_bit !x in
+      f ((w * bits_per_word) + bit);
+      x := words.(w) land lnot ((2 lsl bit) - 1)
+    done
   done
 
 let fold f b init =
@@ -94,13 +115,14 @@ let of_list n xs =
   List.iter (add b) xs;
   b
 
-exception Found of int
-
 let choose b =
-  try
-    iter (fun i -> raise (Found i)) b;
-    None
-  with Found i -> Some i
+  let rec go w =
+    if w >= Array.length b.words then None
+    else if b.words.(w) <> 0 then
+      Some ((w * bits_per_word) + lowest_bit b.words.(w))
+    else go (w + 1)
+  in
+  go 0
 
 let hash b = Array.fold_left (fun acc w -> (acc * 1000003) lxor w) b.n b.words
 

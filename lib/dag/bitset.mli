@@ -23,7 +23,7 @@ val set : t -> int -> bool -> unit
 (** [set b i v] makes [mem b i = v]. *)
 
 val cardinal : t -> int
-(** Number of members; O(capacity / 64). *)
+(** Number of members; O(capacity / 63 + cardinal). *)
 
 val is_empty : t -> bool
 
@@ -31,7 +31,7 @@ val clear : t -> unit
 (** Remove all members. *)
 
 val fill : t -> unit
-(** Add every member in [0, capacity). *)
+(** Add every member in [0, capacity); O(capacity / 63). *)
 
 val copy : t -> t
 
@@ -51,7 +51,10 @@ val diff_into : t -> t -> unit
 (** [diff_into dst src] removes every member of [src] from [dst]. *)
 
 val iter : (int -> unit) -> t -> unit
-(** Iterate over members in increasing order. *)
+(** Iterate over members in increasing order, in O(capacity / 63 +
+    cardinal): zero words are skipped and only set bits are visited.
+    [f] may add or remove members; a member above the one being visited
+    is seen iff it is present when the scan reaches it. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
@@ -62,7 +65,7 @@ val of_list : int -> int list -> t
 (** [of_list n xs] is a bitset of capacity [n] containing [xs]. *)
 
 val choose : t -> int option
-(** Smallest member, if any. *)
+(** Smallest member, if any; O(index of its word). *)
 
 val hash : t -> int
 

@@ -8,39 +8,55 @@ let is_dominator g d v0 =
    infinite capacity; a super-source feeds every DAG source's _in side
    and every v0 member's _out side drains to a super-sink.  Routing the
    super-sink from v_out (not v_in) lets the cut pick v itself, matching
-   the path-includes-endpoints convention of Definition 5.1. *)
+   the path-includes-endpoints convention of Definition 5.1.
+
+   Only the ancestor cone of v0 enters the network, under compact ids
+   (cone.(i) is the node with id i): a node outside it lies on no
+   source-to-v0 path, so the flow value is that of the whole-DAG
+   network, and the source-closest minimum cut — unique — is too. *)
 let build_cut_network g v0 =
-  let n = Dag.n_nodes g in
-  let v_in v = 2 * v and v_out v = (2 * v) + 1 in
-  let src = 2 * n and dst = (2 * n) + 1 in
-  let net = Flow.create ((2 * n) + 2) in
-  for v = 0 to n - 1 do
-    Flow.add_edge net (v_in v) (v_out v) 1
-  done;
-  Dag.iter_edges (fun _ u v -> Flow.add_edge net (v_out u) (v_in v) Flow.infinity) g;
-  List.iter (fun s -> Flow.add_edge net src (v_in s) Flow.infinity) (Dag.sources g);
+  let cone_set = Reach.to_ g (Bitset.to_list v0) in
+  let k = Bitset.cardinal cone_set in
+  let cone = Array.make k 0 and id = Array.make (Dag.n_nodes g) (-1) in
+  let next = ref 0 in
+  Bitset.iter
+    (fun v ->
+      cone.(!next) <- v;
+      id.(v) <- !next;
+      incr next)
+    cone_set;
+  let v_in v = 2 * id.(v) and v_out v = (2 * id.(v)) + 1 in
+  let src = 2 * k and dst = (2 * k) + 1 in
+  let net = Flow.create ((2 * k) + 2) in
+  Array.iter
+    (fun v ->
+      Flow.add_edge net (v_in v) (v_out v) 1;
+      (* every predecessor of a cone node is in the cone *)
+      Dag.iter_pred (fun u -> Flow.add_edge net (v_out u) (v_in v) Flow.infinity) g v;
+      if Dag.is_source g v then Flow.add_edge net src (v_in v) Flow.infinity)
+    cone;
   Bitset.iter (fun v -> Flow.add_edge net (v_out v) dst Flow.infinity) v0;
-  (net, src, dst)
+  (net, src, dst, cone)
 
 let min_dominator_size g v0 =
   if Bitset.is_empty v0 then 0
   else
-    let net, src, dst = build_cut_network g v0 in
+    let net, src, dst, _ = build_cut_network g v0 in
     Flow.max_flow net ~src ~dst
 
 let min_dominator g v0 =
-  let n = Dag.n_nodes g in
-  let dom = Bitset.create n in
+  let dom = Bitset.create (Dag.n_nodes g) in
   if Bitset.is_empty v0 then dom
   else begin
-    let net, src, dst = build_cut_network g v0 in
+    let net, src, dst, cone = build_cut_network g v0 in
     let (_ : int) = Flow.max_flow net ~src ~dst in
     let side = Flow.min_cut_side net ~src in
     (* v is in the cut iff v_in is on the source side but v_out is not *)
-    for v = 0 to n - 1 do
-      if Bitset.mem side (2 * v) && not (Bitset.mem side ((2 * v) + 1)) then
-        Bitset.add dom v
-    done;
+    Array.iteri
+      (fun i v ->
+        if Bitset.mem side (2 * i) && not (Bitset.mem side ((2 * i) + 1)) then
+          Bitset.add dom v)
+      cone;
     dom
   end
 

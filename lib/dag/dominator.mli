@@ -12,7 +12,8 @@ val is_dominator : Dag.t -> Bitset.t -> Bitset.t -> bool
 val min_dominator_size : Dag.t -> Bitset.t -> int
 (** Size of a minimum dominator for [v0]: the minimum vertex cut
     separating the sources from [v0], computed by max-flow on the
-    node-split network.  Runs in polynomial time (this is not the
+    node-split network of the ancestors of [v0] (no other node lies on
+    a source-to-[v0] path).  Runs in polynomial time (this is not the
     NP-hard minimum-partition problem, just one dominator). *)
 
 val min_dominator : Dag.t -> Bitset.t -> Bitset.t

@@ -1,59 +1,67 @@
 module Dag = Prbp_dag.Dag
+module Nodes = Set.Make (Int)
 
-let add_sorted x l = List.sort_uniq compare (x :: l)
+module Edges = Set.Make (struct
+  type t = int * int
 
-let remove x l = List.filter (( <> ) x) l
+  let compare (a, b) (c, d) =
+    let k = Int.compare a c in
+    if k <> 0 then k else Int.compare b d
+end)
 
 module R = struct
-  type state = {
-    red : int list;
-    blue : int list;
-    computed : int list;
-    io : int;
-  }
+  type state = { red : Nodes.t; blue : Nodes.t; computed : Nodes.t; io : int }
+
+  let io st = st.io
 
   let initial g =
-    { red = []; blue = List.sort compare (Dag.sources g); computed = []; io = 0 }
+    {
+      red = Nodes.empty;
+      blue = Nodes.of_list (Dag.sources g);
+      computed = Nodes.empty;
+      io = 0;
+    }
 
   let step ~r g st (m : Move.R.t) =
     match m with
     | Move.R.Load v ->
         (* "place a red pebble on any node v that has a blue pebble" *)
-        if not (List.mem v st.blue) then Error "load: no blue pebble"
-        else if List.mem v st.red then
+        if not (Nodes.mem v st.blue) then Error "load: no blue pebble"
+        else if Nodes.mem v st.red then
           (* legal but a pure waste: state unchanged, cost paid *)
           Ok { st with io = st.io + 1 }
-        else if List.length st.red >= r then Error "load: capacity"
-        else Ok { st with red = add_sorted v st.red; io = st.io + 1 }
+        else if Nodes.cardinal st.red >= r then Error "load: capacity"
+        else Ok { st with red = Nodes.add v st.red; io = st.io + 1 }
     | Move.R.Save v ->
         (* "place a blue pebble on any node v that has a red pebble" *)
-        if not (List.mem v st.red) then Error "save: no red pebble"
-        else Ok { st with blue = add_sorted v st.blue; io = st.io + 1 }
+        if not (Nodes.mem v st.red) then Error "save: no red pebble"
+        else Ok { st with blue = Nodes.add v st.blue; io = st.io + 1 }
     | Move.R.Compute v ->
         (* "if all the inputs of a non-source node v have a red pebble,
            then also place a red pebble on v" — once per node *)
         if Dag.is_source g v then Error "compute: source"
-        else if List.mem v st.computed then Error "compute: one-shot"
+        else if Nodes.mem v st.computed then Error "compute: one-shot"
         else if
-          not (List.for_all (fun u -> List.mem u st.red) (Dag.preds g v))
+          not (List.for_all (fun u -> Nodes.mem u st.red) (Dag.preds g v))
         then Error "compute: inputs not red"
-        else if List.mem v st.red then
-          Ok { st with computed = add_sorted v st.computed }
-        else if List.length st.red >= r then Error "compute: capacity"
+        else if Nodes.mem v st.red then
+          Ok { st with computed = Nodes.add v st.computed }
+        else if Nodes.cardinal st.red >= r then Error "compute: capacity"
         else
           Ok
             {
               st with
-              red = add_sorted v st.red;
-              computed = add_sorted v st.computed;
+              red = Nodes.add v st.red;
+              computed = Nodes.add v st.computed;
             }
     | Move.R.Delete v ->
         (* "remove a red pebble from any node" *)
-        if not (List.mem v st.red) then Error "delete: no red pebble"
-        else Ok { st with red = remove v st.red }
+        if not (Nodes.mem v st.red) then Error "delete: no red pebble"
+        else Ok { st with red = Nodes.remove v st.red }
     | Move.R.Slide _ -> Error "slide: not part of the base game"
 
-  let is_terminal g st = List.for_all (fun v -> List.mem v st.blue) (Dag.sinks g)
+  let is_terminal g st =
+    List.for_all (fun v -> Nodes.mem v st.blue) (Dag.sinks g)
 
   let run ~r g moves =
     List.fold_left
@@ -70,39 +78,39 @@ module R = struct
 end
 
 module P = struct
+  (* A node carries one of four pebble kinds.  The state stores only the
+     node's memberships, from which its kind follows:
+     blue only = blue and not red; blue + light red = blue and red;
+     dark red only = red and not blue; none = neither.  A red pebble is
+     light exactly when the node also holds a blue one. *)
   type pebble = No_pebble | Blue_only | Blue_and_light | Dark_only
 
-  type state = {
-    pebbles : (int * pebble) list;
-    marked : (int * int) list;
-    io : int;
-  }
+  type state = { red : Nodes.t; blue : Nodes.t; marked : Edges.t; io : int }
 
-  let pebble_of st v = List.assoc v st.pebbles
+  let io st = st.io
 
-  let set st v p =
-    { st with pebbles = List.map (fun (w, q) -> if w = v then (w, p) else (w, q)) st.pebbles }
+  let pebble_of st v =
+    match (Nodes.mem v st.blue, Nodes.mem v st.red) with
+    | true, false -> Blue_only
+    | true, true -> Blue_and_light
+    | false, true -> Dark_only
+    | false, false -> No_pebble
 
-  let red_count st =
-    List.length
-      (List.filter
-         (fun (_, p) -> p = Blue_and_light || p = Dark_only)
-         st.pebbles)
+  let red_count st = Nodes.cardinal st.red
 
   let initial g =
     {
-      pebbles =
-        List.init (Dag.n_nodes g) (fun v ->
-            (v, if Dag.is_source g v then Blue_only else No_pebble));
-      marked = [];
+      red = Nodes.empty;
+      blue = Nodes.of_list (Dag.sources g);
+      marked = Edges.empty;
       io = 0;
     }
 
   let fully_computed g st u =
-    List.for_all (fun p -> List.mem (p, u) st.marked) (Dag.preds g u)
+    List.for_all (fun p -> Edges.mem (p, u) st.marked) (Dag.preds g u)
 
   let all_out_marked g st v =
-    List.for_all (fun w -> List.mem (v, w) st.marked) (Dag.succs g v)
+    List.for_all (fun w -> Edges.mem (v, w) st.marked) (Dag.succs g v)
 
   let step ~r g st (m : Move.P.t) =
     match m with
@@ -112,19 +120,19 @@ module P = struct
         match pebble_of st v with
         | Blue_only ->
             if red_count st >= r then Error "load: capacity"
-            else Ok { (set st v Blue_and_light) with io = st.io + 1 }
+            else Ok { st with red = Nodes.add v st.red; io = st.io + 1 }
         | Blue_and_light -> Ok { st with io = st.io + 1 }
         | No_pebble | Dark_only -> Error "load: no blue pebble")
     | Move.P.Save v -> (
         (* "replace a dark red pebble ... by a blue and a light red" *)
         match pebble_of st v with
-        | Dark_only -> Ok { (set st v Blue_and_light) with io = st.io + 1 }
+        | Dark_only -> Ok { st with blue = Nodes.add v st.blue; io = st.io + 1 }
         | _ -> Error "save: no dark red pebble")
     | Move.P.Compute (u, v) ->
         (* conditions (i)-(iii) of the partial compute rule, plus the
            one-shot restriction on edges *)
         if not (Dag.has_edge g u v) then Error "compute: no such edge"
-        else if List.mem (u, v) st.marked then Error "compute: edge marked"
+        else if Edges.mem (u, v) st.marked then Error "compute: edge marked"
         else if not (fully_computed g st u) then
           Error "compute: input not fully computed"
         else if
@@ -138,25 +146,30 @@ module P = struct
           | Blue_only -> Error "compute: target has only a blue pebble"
           | No_pebble when red_count st >= r -> Error "compute: capacity"
           | No_pebble | Blue_and_light | Dark_only ->
+              (* v's value changes: it becomes dark red, and any blue
+                 copy of the old value is gone *)
               Ok
                 {
-                  (set st v Dark_only) with
-                  marked = List.sort compare ((u, v) :: st.marked);
+                  st with
+                  red = Nodes.add v st.red;
+                  blue = Nodes.remove v st.blue;
+                  marked = Edges.add (u, v) st.marked;
                 }
         end
     | Move.P.Delete v -> (
         (* light red always removable; dark red only once every output
            edge is marked *)
         match pebble_of st v with
-        | Blue_and_light -> Ok (set st v Blue_only)
+        | Blue_and_light -> Ok { st with red = Nodes.remove v st.red }
         | Dark_only ->
-            if all_out_marked g st v then Ok (set st v No_pebble)
+            if all_out_marked g st v then
+              Ok { st with red = Nodes.remove v st.red }
             else Error "delete: dark red with unmarked out-edges"
         | _ -> Error "delete: no red pebble")
     | Move.P.Clear _ -> Error "clear: not part of the base game"
 
   let is_terminal g st =
-    List.length st.marked = Dag.n_edges g
+    Edges.cardinal st.marked = Dag.n_edges g
     && List.for_all
          (fun v ->
            match pebble_of st v with
@@ -182,15 +195,17 @@ let errf fmt = Format.kasprintf (fun s -> Error s) fmt
 
 let agree_rbp ~r g moves =
   let eng = Rbp.start (Rbp.config ~r ()) g in
-  let rec go i st = function
+  let rec go i (st : R.state) = function
     | [] ->
         let final_red = Prbp_dag.Bitset.to_list (Rbp.red_set eng) in
         let final_blue = Prbp_dag.Bitset.to_list (Rbp.blue_set eng) in
-        if Rbp.io_cost eng <> st.R.io then errf "cost mismatch at end"
-        else if final_red <> st.R.red then errf "red set mismatch"
-        else if final_blue <> st.R.blue then errf "blue set mismatch"
+        if Rbp.io_cost eng <> st.io then errf "cost mismatch at end"
+        else if final_red <> Nodes.elements st.red then errf "red set mismatch"
+        else if final_blue <> Nodes.elements st.blue then
+          errf "blue set mismatch"
         else if
-          Prbp_dag.Bitset.to_list (Rbp.computed_set eng) <> st.R.computed
+          Prbp_dag.Bitset.to_list (Rbp.computed_set eng)
+          <> Nodes.elements st.computed
         then errf "computed set mismatch"
         else if Rbp.is_terminal eng <> R.is_terminal g st then
           errf "terminality mismatch"
@@ -215,18 +230,22 @@ let agree_prbp ~r g moves =
         true
     | _ -> false
   in
-  let rec go i st = function
+  let rec go i (st : P.state) = function
     | [] ->
-        if Prbp.io_cost eng <> st.P.io then errf "cost mismatch"
+        let marked = Prbp.marked_set eng in
+        if Prbp.io_cost eng <> st.io then errf "cost mismatch"
         else if
           not
             (List.for_all
-               (fun (v, q) -> pebble_eq (Prbp.pebble eng v) q)
-               st.P.pebbles)
+               (fun v -> pebble_eq (Prbp.pebble eng v) (P.pebble_of st v))
+               (List.init (Dag.n_nodes g) Fun.id))
         then errf "pebble state mismatch"
         else if
-          List.length st.P.marked
-          <> Prbp_dag.Bitset.cardinal (Prbp.marked_set eng)
+          Edges.cardinal st.marked <> Prbp_dag.Bitset.cardinal marked
+          || not
+               (Edges.for_all
+                  (fun (u, v) -> Prbp_dag.Bitset.mem marked (Dag.edge_id g u v))
+                  st.marked)
         then errf "marked set mismatch"
         else if Prbp.is_terminal eng <> P.is_terminal g st then
           errf "terminality mismatch"

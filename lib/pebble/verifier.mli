@@ -4,21 +4,23 @@
     {!Rbp} and {!Prbp} are optimized mutable engines (bitsets, counter
     caches).  This module re-implements the Section-1 and Section-3
     transition rules a second time in the most literal way possible —
-    persistent maps, no caches, every precondition spelled out next to
-    the sentence of the paper it comes from.  The test-suite drives
-    both implementations with the same (legal and illegal) move
-    sequences and requires identical verdicts, states and costs, so a
-    bug would have to be introduced twice, in two different shapes, to
-    go unnoticed. *)
+    persistent sets ([Set.Make] over nodes and edges), no caches, every
+    precondition spelled out next to the sentence of the paper it comes
+    from.  A move costs O(r + deg · log m) for a node of degree deg in
+    a DAG of m edges: capacity checks count the red set, which never
+    exceeds [r].  The test-suite drives both implementations with the
+    same (legal and illegal) move sequences and requires identical
+    verdicts, states and costs, so a bug would have to be introduced
+    twice, in two different shapes, to go unnoticed. *)
 
 (** Literal RBP checker. *)
 module R : sig
-  type state = {
-    red : int list;  (** sorted *)
-    blue : int list;  (** sorted *)
-    computed : int list;  (** sorted *)
-    io : int;
-  }
+  type state
+  (** Persistent sets of red, blue and computed nodes, plus the I/O
+      cost so far. *)
+
+  val io : state -> int
+  (** I/O cost paid so far. *)
 
   val initial : Prbp_dag.Dag.t -> state
 
@@ -42,13 +44,14 @@ end
 
 (** Literal PRBP checker. *)
 module P : sig
-  type pebble = No_pebble | Blue_only | Blue_and_light | Dark_only
+  type state
+  (** Persistent sets of red nodes, blue nodes and marked edges, plus
+      the I/O cost so far.  A node's pebble kind follows from its
+      memberships: blue only, blue + light red, dark red only, or
+      none. *)
 
-  type state = {
-    pebbles : (int * pebble) list;  (** sorted by node; total *)
-    marked : (int * int) list;  (** sorted edge list *)
-    io : int;
-  }
+  val io : state -> int
+  (** I/O cost paid so far. *)
 
   val initial : Prbp_dag.Dag.t -> state
 

@@ -95,6 +95,47 @@ let prop_union_cardinal =
       && Prbp.Bitset.subset a u
       && Prbp.Bitset.subset b u)
 
+(* Word-at-a-time [iter], [to_list], [choose], [cardinal] and [fill]
+   against a bit-by-bit reference over [mem], at capacities around the
+   63-bit word boundaries. *)
+let boundary_capacities = [ 0; 1; 62; 63; 64; 125; 126; 127; 200 ]
+
+let prop_word_ops_vs_naive =
+  qcase ~count:300 "word-at-a-time ops agree with a bit-by-bit reference"
+    QCheck.(
+      pair
+        (int_bound (List.length boundary_capacities - 1))
+        (list (int_bound 199)))
+    (fun (ci, xs) ->
+      let n = List.nth boundary_capacities ci in
+      let b = Bitset.of_list n (List.filter (fun x -> x < n) xs) in
+      let agrees b =
+        let naive = List.filter (Bitset.mem b) (List.init n Fun.id) in
+        let visited = ref [] in
+        Bitset.iter (fun i -> visited := i :: !visited) b;
+        List.rev !visited = naive
+        && Bitset.to_list b = naive
+        && Bitset.choose b = (match naive with [] -> None | i :: _ -> Some i)
+        && Bitset.cardinal b = List.length naive
+      in
+      let full = Bitset.copy b in
+      Bitset.fill full;
+      agrees b && agrees full
+      && Bitset.cardinal full = n
+      && Bitset.subset b full)
+
+let test_iter_mutation () =
+  (* removing a member ahead of the scan hides it; adding one shows it *)
+  let b = Bitset.of_list 130 [ 1; 5; 70; 100 ] in
+  let seen = ref [] in
+  Bitset.iter
+    (fun i ->
+      seen := i :: !seen;
+      if i = 1 then (Bitset.remove b 5; Bitset.add b 3);
+      if i = 3 then (Bitset.remove b 100; Bitset.add b 126))
+    b;
+  Alcotest.(check (list int)) "visited" [ 1; 3; 70; 126 ] (List.rev !seen)
+
 let suite =
   [
     ( "bitset",
@@ -108,7 +149,9 @@ let suite =
         case "capacity mismatch" test_equal_capacity_mismatch;
         case "choose" test_choose;
         case "iteration order" test_iter_order;
+        case "iteration under mutation" test_iter_mutation;
         prop_roundtrip;
         prop_union_cardinal;
+        prop_word_ops_vs_naive;
       ] );
   ]
